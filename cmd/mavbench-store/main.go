@@ -1,6 +1,7 @@
 // Command mavbench-store administers result stores offline: inspect a
 // segment store, query it the way GET /v1/results does, force a compaction,
-// and migrate a one-file-per-hash DiskStore into the segment layout.
+// and import a legacy one-file-per-hash result directory into the segment
+// layout.
 //
 //	mavbench-store stats   -dir /var/lib/mavbench/segments
 //	mavbench-store query   -dir /var/lib/mavbench/segments -workload scanning -cores-min 4 -metrics MissionTimeS,TotalEnergyKJ
@@ -59,7 +60,7 @@ Subcommands:
   stats   -dir <segments>            store counters (segments, records, live/dead bytes, ...)
   query   -dir <segments> [filters]  filtered results as NDJSON (mirrors GET /v1/results)
   compact -dir <segments>            rewrite live records, reclaim dead bytes
-  migrate -from <disk> -to <segments>  copy a DiskStore into a segment store
+  migrate -from <legacy> -to <segments>  import a <hash>.json directory into a segment store
 
 Run "mavbench-store <subcommand> -h" for the subcommand's flags.
 `)
@@ -209,22 +210,18 @@ func reportFields(rep mavbench.Report) map[string]any {
 
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
-	from := fs.String("from", "", "source DiskStore directory (one <hash>.json per result)")
+	from := fs.String("from", "", "legacy source directory (one <hash>.json per result; read only)")
 	to := fs.String("to", "", "destination segment store directory (created if missing)")
 	fs.Parse(args)
 	if *from == "" || *to == "" {
 		return fmt.Errorf("migrate requires both -from and -to")
-	}
-	src, err := mavbench.NewDiskStore(*from)
-	if err != nil {
-		return err
 	}
 	dst, err := resultdb.Open(*to)
 	if err != nil {
 		return err
 	}
 	defer dst.Close()
-	st, err := resultdb.Migrate(src, dst)
+	st, err := resultdb.Migrate(*from, dst)
 	if err != nil {
 		return err
 	}

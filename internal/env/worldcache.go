@@ -3,6 +3,7 @@ package env
 import (
 	"container/list"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,26 +18,26 @@ import (
 // a deep Clone, so the cached original is never mutated by a simulation.
 //
 // With a spill directory configured, built worlds are also written to disk as
-// content-addressed snapshots (<world-hash>.json, atomic temp-file + rename,
-// like the result DiskStore), so worlds survive process restarts and can be
-// shared by every process of a fleet worker box. The in-memory LRU is the
-// first tier; the spill directory is consulted on a memory miss before
-// falling back to building.
+// content-addressed snapshots (<world-hash>.json, atomic temp-file + rename),
+// so worlds survive process restarts and can be shared by every process of a
+// fleet worker box. The in-memory LRU is the first tier; the spill directory
+// is consulted on a memory miss before falling back to building.
 //
 // All methods are safe for concurrent use.
 type WorldCache struct {
 	maxBytes int64
 	dir      string
 
-	mu     sync.Mutex
-	byKey  map[string]*list.Element
-	lru    *list.List // of *worldEntry; front = most recent
-	total  int64
-	hits   int64
-	misses int64
-	evicts int64
-	spillH int64 // misses served from the spill tier
-	spillW int64 // snapshots written to the spill tier
+	mu      sync.Mutex
+	byKey   map[string]*list.Element
+	pending map[string]*pendingBuild // builds in flight, by key
+	lru     *list.List               // of *worldEntry; front = most recent
+	total   int64
+	hits    int64
+	misses  int64
+	evicts  int64
+	spillH  int64 // misses served from the spill tier
+	spillW  int64 // snapshots written to the spill tier
 }
 
 // worldEntry is one cached world and its start position.
@@ -45,6 +46,15 @@ type worldEntry struct {
 	world *World
 	start geom.Vec3
 	size  int64
+}
+
+// pendingBuild is one world being loaded or built. Concurrent lookups of the
+// same key wait on done instead of building the world a second time.
+type pendingBuild struct {
+	done  chan struct{}
+	world *World
+	start geom.Vec3
+	err   error
 }
 
 // WorldCacheStats is a point-in-time snapshot of cache effectiveness.
@@ -76,7 +86,7 @@ func WithCacheDir(dir string) WorldCacheOption {
 
 // NewWorldCache constructs an empty cache.
 func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
-	c := &WorldCache{byKey: map[string]*list.Element{}, lru: list.New()}
+	c := &WorldCache{byKey: map[string]*list.Element{}, pending: map[string]*pendingBuild{}, lru: list.New()}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -88,8 +98,10 @@ func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
 
 // GetOrBuild returns a private deep clone of the world for key, building (and
 // caching) it with build on a miss. Every caller gets its own clone —
-// simulations mutate worlds freely without poisoning the cache. Build errors
-// are returned verbatim and cache nothing.
+// simulations mutate worlds freely without poisoning the cache. Concurrent
+// misses on one key share a single load or build. Build errors are returned
+// verbatim (to every caller waiting on that build) and cache nothing; a build
+// that panics releases its waiters with an error and re-panics.
 func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, error)) (*World, geom.Vec3, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -100,13 +112,56 @@ func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, err
 		c.mu.Unlock()
 		return w, start, nil
 	}
+	if p, ok := c.pending[key]; ok {
+		c.mu.Unlock()
+		<-p.done
+		c.mu.Lock()
+		if p.err != nil {
+			c.misses++
+		} else {
+			c.hits++
+		}
+		c.mu.Unlock()
+		if p.err != nil {
+			return nil, geom.Vec3{}, p.err
+		}
+		return p.world.Clone(), p.start, nil
+	}
+	p := &pendingBuild{done: make(chan struct{})}
+	c.pending[key] = p
 	c.mu.Unlock()
 
+	c.fill(key, p, build)
+	if p.err != nil {
+		return nil, geom.Vec3{}, p.err
+	}
+	// The original goes into the cache pristine; the builder too gets a
+	// clone, so no caller can ever mutate the cached copy.
+	return p.world.Clone(), p.start, nil
+}
+
+// fill loads or builds the world for key into p, then drops p from the
+// pending set and wakes its waiters. The cleanup is deferred so a build that
+// panics (the run engine recovers it further up) hands its waiters an error
+// instead of leaving the key wedged.
+func (c *WorldCache) fill(key string, p *pendingBuild, build func() (*World, geom.Vec3, error)) {
+	p.err = fmt.Errorf("env: world build for %s panicked", key) // replaced on return
+	defer func() {
+		c.mu.Lock()
+		delete(c.pending, key)
+		c.mu.Unlock()
+		close(p.done)
+	}()
+	p.world, p.start, p.err = c.loadOrBuild(key, build)
+}
+
+// loadOrBuild fills a miss from the spill tier or by building, and caches
+// and returns the pristine world. Build errors cache nothing.
+func (c *WorldCache) loadOrBuild(key string, build func() (*World, geom.Vec3, error)) (*World, geom.Vec3, error) {
 	if w, start, ok := c.loadSpill(key); ok {
 		c.insert(key, w, start, true)
-		return w.Clone(), start, nil
+		return w, start, nil
 	}
-
 	w, start, err := build()
 	if err != nil {
 		c.mu.Lock()
@@ -116,9 +171,7 @@ func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, err
 	}
 	c.insert(key, w, start, false)
 	c.writeSpill(key, w, start)
-	// The built original goes into the cache pristine; the builder too gets a
-	// clone, so no caller can ever mutate the cached copy.
-	return w.Clone(), start, nil
+	return w, start, nil
 }
 
 // Contains reports whether key is resident in the in-memory tier (no recency
@@ -152,11 +205,6 @@ func (c *WorldCache) insert(key string, w *World, start geom.Vec3, fromSpill boo
 		c.spillH++
 	} else {
 		c.misses++
-	}
-	if el, ok := c.byKey[key]; ok {
-		// Lost a build race: keep the incumbent (identical content).
-		c.lru.MoveToFront(el)
-		return
 	}
 	c.byKey[key] = c.lru.PushFront(&worldEntry{key: key, world: w, start: start, size: size})
 	c.total += size

@@ -2,10 +2,15 @@ package env
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mavbench/internal/geom"
 )
@@ -52,6 +57,30 @@ func TestCloneIsBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(worldFingerprint(orig), worldFingerprint(clone)) {
 		t.Fatal("clone diverged from original after stepping")
+	}
+}
+
+// TestCloneRandSourceFastPath pins World.Clone's structural-copy fast path
+// to the toolchain: math/rand's seeded source must stay a pointer to a plain
+// struct that cloneRandSource can copy, and the copy must continue the exact
+// sequence a reseed-and-replay would. A Go release that changes the source's
+// shape fails here instead of silently moving every warm world provision
+// onto the much slower replay path.
+func TestCloneRandSourceFastPath(t *testing.T) {
+	const seed, drawn = 42, 137
+	src := rand.NewSource(seed)
+	for i := 0; i < drawn; i++ {
+		src.Int63()
+	}
+	copied, ok := cloneRandSource(src)
+	if !ok {
+		t.Fatalf("cloneRandSource(%T) reported !ok: World.Clone would replay every draw on this toolchain", src)
+	}
+	replayed := replaySource(seed, drawn)
+	for i := 0; i < 1000; i++ {
+		if got, want := copied.Int63(), replayed.Int63(); got != want {
+			t.Fatalf("draw %d after %d: copy %d, replay %d", i, drawn, got, want)
+		}
 	}
 }
 
@@ -138,6 +167,124 @@ func TestWorldCacheBuildError(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Misses != 1 {
 		t.Fatalf("error cached something: %+v", st)
+	}
+}
+
+// TestWorldCacheConcurrentMissesBuildOnce pins build dedup: lookups of one
+// key that arrive while its build is in flight wait for that build instead of
+// starting their own, and each still gets a private clone.
+func TestWorldCacheConcurrentMissesBuildOnce(t *testing.T) {
+	c := NewWorldCache()
+	const callers = 8
+	release := make(chan struct{})
+	var builds atomic.Int64
+	build := func() (*World, geom.Vec3, error) {
+		builds.Add(1)
+		<-release
+		return buildTestWorld(3), geom.V3(1, 2, 3), nil
+	}
+
+	worlds := make([]*World, callers)
+	var wg sync.WaitGroup
+	for i := range worlds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w, start, err := c.GetOrBuild("cc33", build)
+			if err != nil || start != geom.V3(1, 2, 3) {
+				t.Errorf("caller %d: start %v, err %v", i, start, err)
+			}
+			worlds[i] = w
+		}(i)
+	}
+	// Hold the build open for a moment so the other callers queue behind it;
+	// a caller that arrives after the build is a plain hit, which passes too.
+	for {
+		c.mu.Lock()
+		_, building := c.pending["cc33"]
+		c.mu.Unlock()
+		if building {
+			break
+		}
+		runtime.Gosched()
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent misses built the world %d times, want 1", callers, n)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != callers-1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, callers-1)
+	}
+	for i := 1; i < callers; i++ {
+		if worlds[i] == worlds[0] {
+			t.Fatalf("callers 0 and %d share one world; every caller needs a clone", i)
+		}
+	}
+}
+
+// TestWorldCachePanickingBuildReleasesKey pins the deferred cleanup of build
+// dedup: a build that panics hands the lookup queued behind it an error, and
+// the next lookup of that key builds at once instead of waiting on it.
+func TestWorldCachePanickingBuildReleasesKey(t *testing.T) {
+	c := NewWorldCache()
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.GetOrBuild("dd44", func() (*World, geom.Vec3, error) {
+			<-release
+			panic("world build failed")
+		})
+	}()
+	for !func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, building := c.pending["dd44"]
+		return building
+	}() {
+		runtime.Gosched()
+	}
+
+	// A waiter that arrives only after the panic builds on its own, which
+	// is also fine; one queued behind the build must get an error.
+	var waiterBuilt atomic.Bool
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrBuild("dd44", func() (*World, geom.Vec3, error) {
+			waiterBuilt.Store(true)
+			return buildTestWorld(4), geom.Vec3{}, nil
+		})
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter queue behind the build
+	close(release)
+	if r := <-panicked; r == nil {
+		t.Fatal("the building caller did not see its build's panic")
+	}
+	if err := <-waiter; err == nil && !waiterBuilt.Load() {
+		t.Error("a lookup queued behind a panicking build got no error")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrBuild("dd44", func() (*World, geom.Vec3, error) {
+			return buildTestWorld(4), geom.Vec3{}, nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lookup stayed wedged behind a panicked build")
+	}
+	if !c.Contains("dd44") {
+		t.Error("the rebuilt world was not cached")
 	}
 }
 

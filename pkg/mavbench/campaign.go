@@ -86,11 +86,6 @@ func (c *Campaign) SetStore(store ResultStore) *Campaign {
 	return c
 }
 
-// SetCache is the former name of SetStore, kept for compatibility.
-//
-// Deprecated: use SetStore.
-func (c *Campaign) SetCache(cache ResultStore) *Campaign { return c.SetStore(cache) }
-
 // SetWorldCache overrides the campaign's world cache: worlds are built once
 // per world-hash and every run receives a deep clone (results stay
 // bit-identical; see WorldCache). Campaigns that never call this share the

@@ -16,16 +16,19 @@ import (
 
 // testWorkload is a fast fake workload: one simulated second, then success.
 // gate (when non-nil) blocks world construction until the channel is closed,
-// letting tests hold a run mid-flight; runs counts world constructions.
+// letting tests hold a run mid-flight; entered counts calls into world
+// construction and runs counts completed ones.
 type testWorkload struct {
-	name string
-	gate chan struct{}
-	runs atomic.Int64
+	name    string
+	gate    chan struct{}
+	entered atomic.Int64
+	runs    atomic.Int64
 }
 
 func (w *testWorkload) Name() string        { return w.name }
 func (w *testWorkload) Description() string { return "fake workload for public API tests" }
 func (w *testWorkload) World(p core.Params) (*env.World, geom.Vec3, error) {
+	w.entered.Add(1)
 	if w.gate != nil {
 		<-w.gate
 	}
@@ -102,7 +105,7 @@ func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	spec := mustSpec(t, wl.name, WithSeed(5), WithMaxMissionTime(30))
 	cache := NewMemoryCache()
 
-	fresh, err := NewCampaign(spec).SetCache(cache).Collect(context.Background())
+	fresh, err := NewCampaign(spec).SetStore(cache).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	}
 	ran := wl.runs.Load()
 
-	served, err := NewCampaign(spec).SetCache(cache).Collect(context.Background())
+	served, err := NewCampaign(spec).SetStore(cache).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +233,14 @@ func TestCampaignCancellationMidStream(t *testing.T) {
 	if first.Index != 0 || !first.OK() {
 		t.Fatalf("first streamed result = %+v", first)
 	}
-	// Run 1 is now blocked inside world construction. Cancel the campaign,
-	// then release the gate: the started run completes and streams; run 2
-	// must never start.
+	// Wait until run 1 is blocked inside world construction. Cancel the
+	// campaign, then release the gate: the started run completes and
+	// streams; run 2 must never start.
+	for deadline := time.Now().Add(30 * time.Second); gated.entered.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("run 1 never started")
+		}
+	}
 	cancel()
 	close(gated.gate)
 

@@ -18,6 +18,7 @@ import (
 	"mavbench/internal/sim"
 	"mavbench/pkg/mavbench"
 	"mavbench/pkg/mavbench/distrib"
+	"mavbench/pkg/mavbench/resultdb"
 	"mavbench/pkg/mavbench/server"
 )
 
@@ -144,8 +145,10 @@ func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_requeue"), gateOnce: make(chan struct{})}
 	core.Register(wl)
 
-	w1 := startWorker(t, server.Config{Workers: 1})
-	w2 := startWorker(t, server.Config{Workers: 1})
+	// Each worker gets its own world cache, as separate worker processes
+	// would: on a shared cache the survivor would wait on the wedged build.
+	w1 := startWorker(t, server.Config{Workers: 1, WorldCache: mavbench.NewWorldCache()})
+	w2 := startWorker(t, server.Config{Workers: 1, WorldCache: mavbench.NewWorldCache()})
 	// Free the gated first run at the end so the orphaned engine goroutine
 	// on the killed worker can finish before the httptest servers close.
 	gateReleased := false
@@ -236,21 +239,20 @@ func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 }
 
 // TestCoordinatorServesRepeatsFromSharedStore pins the fleet-wide
-// never-resimulate guarantee: with a shared disk store, a second campaign
-// over the same specs is served entirely from the store — zero new
-// simulations anywhere.
+// never-resimulate guarantee: with the coordinator owning a segment store, a
+// second campaign over the same specs is served entirely from the store —
+// zero new simulations anywhere, though the workers keep no store at all.
 func TestCoordinatorServesRepeatsFromSharedStore(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_store")}
 	core.Register(wl)
 
-	store, err := mavbench.NewDiskStore(t.TempDir())
+	store, err := resultdb.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers and coordinator share one store, as a fleet on a common
-	// filesystem would.
-	w1 := startWorker(t, server.Config{Workers: 1, Store: store})
-	w2 := startWorker(t, server.Config{Workers: 1, Store: store})
+	t.Cleanup(func() { store.Close() })
+	w1 := startWorker(t, server.Config{Workers: 1, DisableCache: true})
+	w2 := startWorker(t, server.Config{Workers: 1, DisableCache: true})
 	fleet := distrib.NewFleet(distrib.Config{})
 	fleet.Register(w1.URL)
 	fleet.Register(w2.URL)

@@ -16,9 +16,9 @@
 //     Stream delivers each Result over a channel the moment its run
 //     completes — the first result is observable long before the last run
 //     finishes — with context cancellation and an optional content-addressed
-//     ResultStore (in-memory, or the persistent DiskStore) so repeated specs
-//     are served without re-simulating. Collect is the blocking convenience
-//     that returns results in spec order.
+//     ResultStore (in-memory, or the persistent resultdb store) so repeated
+//     specs are served without re-simulating. Collect is the blocking
+//     convenience that returns results in spec order.
 //
 //   - cmd/mavbenchd: an HTTP service exposing campaigns over /v1 endpoints
 //     (see pkg/mavbench/server), streaming results as NDJSON. Servers form

@@ -1,8 +1,7 @@
-// Package resultdb is the segmented analytics result store: a compacting,
-// append-only backend for the mavbench.ResultStore interface that scales
-// past DiskStore's one-file-per-hash layout and adds the query surface the
-// paper's QoF-versus-compute studies (MAVBench, Boroujerdian et al.,
-// MICRO 2018, Figures 10-15) need.
+// Package resultdb is the persistent result store: a compacting, append-only,
+// segmented backend for the mavbench.ResultStore interface, with the query
+// surface the paper's QoF-versus-compute studies (MAVBench, Boroujerdian et
+// al., MICRO 2018, Figures 10-15) need.
 //
 // # Layout
 //
@@ -25,14 +24,20 @@
 //
 // # Crash tolerance
 //
-// The store inherits DiskStore's contract: corruption is tolerated, never
-// fatal. A torn tail (crash mid-append) is truncated away on Open; a corrupt
-// interior line is skipped and counted; compacted segments are published by
-// atomic rename, and a crash between publishing them and deleting their
-// predecessors is healed by last-write-wins on the next Open. Unlike
-// DiskStore, a segment directory must be owned by a single process at a time
-// — fleet members each point at their own store, or share one through a
-// coordinator.
+// Corruption is tolerated, never fatal. A torn tail (crash mid-append) is
+// truncated away on Open; a corrupt interior line is skipped and counted;
+// compacted segments are published by atomic rename, and a crash between
+// publishing them and deleting their predecessors is healed by
+// last-write-wins on the next Open.
+//
+// # Ownership
+//
+// A segment directory has one owner at a time: Open takes an exclusive
+// advisory lock on <dir>/LOCK (on unix) and Close releases it, so a second
+// Open of a held directory fails. A mavbenchd fleet shares one store through
+// its coordinator; workers run without one, or each with its own directory.
+//
+// Migrate imports the legacy one-file-per-hash layout (<hash>.json files).
 package resultdb
 
 import (
@@ -118,11 +123,13 @@ func WithAutoCompact(on bool) Option {
 
 // Store is the segmented result store. It implements mavbench.ResultStore
 // and is safe for concurrent use. Construct with Open; Close releases the
-// file handles (records are durable after every Put regardless).
+// file handles and the directory lock (records are durable after every Put
+// regardless).
 type Store struct {
 	dir         string
 	targetBytes int64
 	autoCompact bool
+	lock        *os.File // holds <dir>/LOCK; nil where locking is unsupported
 
 	mu         sync.Mutex
 	index      map[string]recLoc
@@ -145,9 +152,15 @@ type Store struct {
 // the index by scanning every segment. Torn tails are truncated, corrupt
 // interior lines skipped, duplicate hashes resolved last-write-wins (later
 // segments win). Leftover temp files from a crashed compaction are removed.
+// A directory has one owner: Open fails while another Store holds it, in this
+// process or any other, until that Store is closed.
 func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultdb: creating store dir: %w", err)
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{
 		dir:         dir,
@@ -156,11 +169,13 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		index:       map[string]recLoc{},
 		segs:        map[int]*segInfo{},
 		readers:     map[int]*os.File{},
+		lock:        lock,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if err := s.load(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -301,8 +316,8 @@ func (s *Store) openActive() error {
 	return nil
 }
 
-// validHash mirrors DiskStore's check: lowercase hex only, bounded length —
-// hashes are file-system- and wire-safe by construction.
+// validHash accepts the lowercase hex form Spec.Hash produces, bounded in
+// length — hashes are file-system- and wire-safe by construction.
 func validHash(hash string) bool {
 	if len(hash) == 0 || len(hash) > 128 {
 		return false
@@ -641,8 +656,12 @@ func (s *Store) Close() error {
 		r.Close()
 	}
 	s.readers = map[int]*os.File{}
+	var err error
 	if s.active != nil {
-		return s.active.Close()
+		err = s.active.Close()
 	}
-	return nil
+	if s.lock != nil {
+		s.lock.Close() // releases the flock
+	}
+	return err
 }

@@ -408,41 +408,6 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-func TestMigrateRoundTripsEveryRecord(t *testing.T) {
-	srcDir, dstDir := t.TempDir(), t.TempDir()
-	src, err := mavbench.NewDiskStore(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		src.Put(testHash(i), testResult(i))
-	}
-	dst := openTestStore(t, dstDir)
-	st, err := Migrate(src, dst)
-	if err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if st.Migrated != n || st.Skipped != 0 {
-		t.Fatalf("MigrateStats = %+v, want %d migrated", st, n)
-	}
-	for i := 0; i < n; i++ {
-		got, ok := dst.Get(testHash(i))
-		want, _ := src.Get(testHash(i))
-		if !ok || !sameResult(got, want) {
-			t.Fatalf("record %d did not round-trip (ok=%v)", i, ok)
-		}
-	}
-	// Re-running converges without duplicating live records.
-	st2, err := Migrate(src, dst)
-	if err != nil || st2.Migrated != n {
-		t.Fatalf("re-migrate: %+v, %v", st2, err)
-	}
-	if dst.Len() != n {
-		t.Fatalf("re-migrate duplicated records: Len = %d, want %d", dst.Len(), n)
-	}
-}
-
 func TestOpenSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, ".seg-123.tmp"), []byte("half-compacted"), 0o644)

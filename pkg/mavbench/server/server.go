@@ -11,7 +11,7 @@
 //	GET  /v1/workloads                 registered workloads and valid knob values
 //	GET  /v1/scenarios                 the difficulty-graded scenario catalog
 //	GET  /v1/specs/{hash}              canonical spec for a known content address
-//	GET  /v1/results                   query the result store (segment backend only; see docs/STORE.md)
+//	GET  /v1/results                   query the result store (resultdb stores only; see docs/STORE.md)
 //	POST /v1/workers                   register a fleet worker ({"url": ...})
 //	GET  /v1/workers                   fleet status
 //	POST /v1/workers/{id}/heartbeat    worker liveness
@@ -66,13 +66,10 @@ type Config struct {
 	Workers int
 	// Store is the content-addressed result store; nil installs a bounded
 	// in-memory cache (4096 entries, FIFO eviction) unless DisableCache is
-	// set. Point it at a mavbench.DiskStore to persist results and share
-	// them across a fleet.
+	// set. Point it at a resultdb store to persist results across restarts
+	// and serve GET /v1/results; on a fleet coordinator it covers every
+	// worker.
 	Store mavbench.ResultStore
-	// Cache is the former name of Store, honored when Store is nil.
-	//
-	// Deprecated: use Store.
-	Cache mavbench.ResultStore
 	// DisableCache turns the result store off entirely.
 	DisableCache bool
 	// WorldCache overrides the world cache campaigns run with; nil selects
@@ -101,7 +98,7 @@ type Config struct {
 	// FleetToken, when non-empty, is required (as "Authorization: Bearer
 	// <token>") on the worker-registry endpoints — registration, heartbeat,
 	// drain and deregistration — so only trusted workers can join the fleet
-	// and feed results into the shared store. Empty means open registration;
+	// and feed results into the coordinator's store. Empty means open registration;
 	// see docs/DISTRIBUTED.md for the trust model.
 	FleetToken string
 	// DisableLocalFallback keeps campaigns failing (instead of running
@@ -222,9 +219,6 @@ func New(cfg Config) *Server {
 		specRefs:  map[string]int{},
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if s.cache == nil {
-		s.cache = cfg.Cache
-	}
 	if s.cache == nil && !cfg.DisableCache {
 		// Bounded: a long-running service must not let unique-spec traffic
 		// grow the cache without limit.

@@ -6,20 +6,13 @@ package mavbench
 // bit-identical to re-simulating — campaigns therefore serve repeated specs
 // from the store without running them. Implementations must be safe for
 // concurrent use; campaigns call them from every worker, and the mavbenchd
-// fleet calls one store from many processes.
+// fleet's coordinator consults one store for every worker.
 //
-// Two implementations ship with the package: MemoryCache (in-process,
-// optionally bounded) and DiskStore (persistent, one file per spec hash,
-// shareable between the processes of a worker fleet).
+// MemoryCache (in-process, optionally bounded) ships with this package; the
+// persistent, queryable store is pkg/mavbench/resultdb.
 type ResultStore interface {
 	// Get returns the stored result for a spec hash.
 	Get(hash string) (Result, bool)
 	// Put stores a successful result under its spec hash.
 	Put(hash string, res Result)
 }
-
-// ResultCache is the former name of ResultStore, kept as an alias so code
-// written against earlier releases keeps compiling.
-//
-// Deprecated: use ResultStore.
-type ResultCache = ResultStore

@@ -14,7 +14,7 @@ import (
 //
 // The cache is a size-bounded in-process LRU with an optional
 // content-addressed disk spill tier (<world-hash>.json snapshots, atomic
-// writes — the DiskStore pattern), which lets worlds survive restarts and be
+// temp-file + rename writes), which lets worlds survive restarts and be
 // shared across the processes of a fleet worker box. Construct with
 // NewWorldCache, or use the process-wide DefaultWorldCache that campaigns
 // pick up automatically. Safe for concurrent use.
