@@ -413,6 +413,7 @@ func TestEmitBenchJSON(t *testing.T) {
 		workerCounts = append(workerCounts, n)
 	}
 	var sweepEntries []benchEntry
+	runs := 0
 	for _, workers := range workerCounts {
 		workers := workers
 		var best time.Duration
@@ -424,19 +425,20 @@ func TestEmitBenchJSON(t *testing.T) {
 				best = elapsed
 			}
 		}
+		runs = len(traces)
 		sweepEntries = append(sweepEntries, benchEntry{
 			Name:    fmt.Sprintf("golden_campaign/workers=%d", workers),
 			NsPerOp: float64(best.Nanoseconds()),
 			Ops:     1,
 			Metrics: map[string]float64{
-				"runs":         float64(len(traces)),
-				"runs_per_sec": float64(len(traces)) / best.Seconds(),
+				"runs":         float64(runs),
+				"runs_per_sec": float64(runs) / best.Seconds(),
 				"wall_seconds": best.Seconds(),
 			},
 		})
 	}
 	writeBenchFile(t, "BENCH_sweep.json", "sweep",
-		"End-to-end golden campaign (24 missions across all five workloads plus kernel-stressing variants) wall time, best of 3 passes, sequential vs one worker per CPU.",
+		fmt.Sprintf("End-to-end golden campaign (%d missions across all five workloads plus kernel-stressing variants) wall time, best of 3 passes, sequential vs one worker per CPU.", runs),
 		sweepEntries)
 }
 

@@ -350,6 +350,18 @@ func TestSmoothProducesFeasibleTrajectory(t *testing.T) {
 	}
 }
 
+func TestSmoothSizesPointsExactly(t *testing.T) {
+	// A lawnmower-like path with a zero-length segment: the samples must land
+	// in one allocation of exactly the needed size.
+	p := Path{Waypoints: []geom.Vec3{
+		geom.V3(0, 0, 5), geom.V3(120, 0, 5), geom.V3(120, 0, 5), geom.V3(120, 8, 5), geom.V3(0, 8, 5),
+	}}
+	traj := Smooth(p, DefaultSmoothingOptions())
+	if len(traj.Points) < 100 || cap(traj.Points) != len(traj.Points) {
+		t.Errorf("points len %d cap %d, want an exactly sized buffer", len(traj.Points), cap(traj.Points))
+	}
+}
+
 func TestSmoothSlowsThroughCorners(t *testing.T) {
 	// A right-angle corner: the speed at the corner waypoint must be lower
 	// than the straight-line cruise speed.

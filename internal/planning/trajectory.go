@@ -175,6 +175,21 @@ func Smooth(path Path, opts SmoothingOptions) Trajectory {
 		limits[i] = opts.MaxVelocity * factor
 	}
 
+	// Profile every segment first so the samples go into one exactly sized
+	// allocation: a coverage flight samples thousands of points, and growing
+	// the slice by doubling would churn large, short-lived buffers.
+	profiles := make([]trapezoidProfile, len(wps))
+	samples := 1
+	for i := 1; i < len(wps); i++ {
+		if length := wps[i].Sub(wps[i-1]).Norm(); length >= 1e-9 {
+			profiles[i] = trapezoid(length, limits[i-1], limits[i], opts.MaxVelocity, opts.MaxAcceleration)
+			for tau := 0.0; tau < profiles[i].duration; tau += opts.SampleInterval {
+				samples++
+			}
+		}
+	}
+	traj.Points = make([]TrajectoryPoint, 0, samples)
+
 	t := 0.0
 	for i := 1; i < len(wps); i++ {
 		seg := wps[i].Sub(wps[i-1])
@@ -183,9 +198,7 @@ func Smooth(path Path, opts SmoothingOptions) Trajectory {
 			continue
 		}
 		dir := seg.Scale(1 / length)
-		vStart := limits[i-1]
-		vEnd := limits[i]
-		profile := trapezoid(length, vStart, vEnd, opts.MaxVelocity, opts.MaxAcceleration)
+		profile := profiles[i]
 
 		yaw := dir.Yaw()
 		for tau := 0.0; tau < profile.duration; tau += opts.SampleInterval {

@@ -210,7 +210,10 @@ func (t *Topic) subscribe(n *Node, queueDepth int, handler Handler) {
 
 // Publish delivers msg to every subscriber through the executor. Publishing
 // itself is free (it models a zero-copy intra-process transport); each
-// subscriber's callback cost is charged when it runs.
+// subscriber's callback cost is charged when it runs. Publishers may skip
+// building a message while Subscribers is zero (the simulator's sensors do);
+// a subscriber that joins later then receives only messages built from then
+// on, so any noise stream behind them advanced only for rendered messages.
 func (t *Topic) Publish(msg Message) {
 	t.published++
 	for _, sub := range t.subscribers {

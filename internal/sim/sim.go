@@ -107,6 +107,12 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Simulator owns one closed-loop run.
+//
+// Sensors are demand-driven: a depth frame, RGB frame, GPS fix or IMU sample
+// is rendered and published only while some node subscribes to its topic.
+// Workloads subscribe during set-up, before Run. A subscriber attached
+// mid-run sees noise streams (GPS, IMU, depth noise) that advanced only for
+// the samples actually rendered before it, not for every sensor tick.
 type Simulator struct {
 	cfg Config
 
@@ -407,36 +413,38 @@ func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
 	s.engine.SchedulePriority(e.Now()+step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
 }
 
+// sensing returns topic and whether a sample for it should be rendered: the
+// mission is running and some node subscribes, as a lazy ROS publisher checks
+// its subscriber count. Skipping is free in virtual time (Publish is free),
+// the DES loops keep firing, and each sensor's noise RNG and the camera
+// caches advance only with its own rendered samples, so results are unchanged.
+func (s *Simulator) sensing(topic string) (*ros.Topic, bool) {
+	t := s.graph.Topic(topic)
+	return t, !s.missionDone && t.Subscribers() > 0
+}
+
 func (s *Simulator) publishDepth() {
-	if s.missionDone {
-		return
+	if t, ok := s.sensing(TopicDepthImage); ok {
+		t.Publish(s.depthCam.Capture(s.world, s.vehicle.State().Pose(), s.Now()))
 	}
-	img := s.depthCam.Capture(s.world, s.vehicle.State().Pose(), s.Now())
-	s.graph.Topic(TopicDepthImage).Publish(img)
 }
 
 func (s *Simulator) publishRGB() {
-	if s.missionDone {
-		return
+	if t, ok := s.sensing(TopicRGBFrame); ok {
+		t.Publish(s.rgbCam.Capture(s.world, s.vehicle.State().Pose(), s.Now()))
 	}
-	frame := s.rgbCam.Capture(s.world, s.vehicle.State().Pose(), s.Now())
-	s.graph.Topic(TopicRGBFrame).Publish(frame)
 }
 
 func (s *Simulator) publishGPS() {
-	if s.missionDone {
-		return
+	if t, ok := s.sensing(TopicGPS); ok {
+		t.Publish(s.gps.Sample(s.world, s.vehicle.State().Position, s.Now()))
 	}
-	fix := s.gps.Sample(s.world, s.vehicle.State().Position, s.Now())
-	s.graph.Topic(TopicGPS).Publish(fix)
 }
 
 func (s *Simulator) publishIMU() {
-	if s.missionDone {
-		return
+	if t, ok := s.sensing(TopicIMU); ok {
+		t.Publish(s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now()))
 	}
-	reading := s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now())
-	s.graph.Topic(TopicIMU).Publish(reading)
 }
 
 // Run executes the closed loop until the mission completes, the horizon is

@@ -229,3 +229,37 @@ func TestDepthNoiseConfig(t *testing.T) {
 		t.Error("depth noise not installed")
 	}
 }
+
+func TestSensorsRenderOnlyWhenSubscribed(t *testing.T) {
+	cfg := DefaultConfig(19)
+	s := emptyWorldSim(t, cfg)
+	g := s.Graph()
+	topics := []string{TopicDepthImage, TopicRGBFrame, TopicGPS, TopicIMU}
+
+	s.RunFor(10)
+	for _, topic := range topics {
+		if n := g.Topic(topic).Published(); n != 0 {
+			t.Errorf("%s published %d messages with no subscriber", topic, n)
+		}
+	}
+
+	depthSeen := 0
+	g.Node("late").Subscribe(TopicDepthImage, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
+		depthSeen++
+		return ros.CallbackResult{}
+	})
+	const seconds = 10
+	s.RunFor(seconds)
+	want := int(seconds * cfg.DepthCameraRateHz)
+	if got := g.Topic(TopicDepthImage).Published(); got != uint64(want) {
+		t.Errorf("depth frames after a mid-run subscribe = %d, want %d", got, want)
+	}
+	if depthSeen != want {
+		t.Errorf("subscriber received %d depth frames, want %d", depthSeen, want)
+	}
+	for _, topic := range topics[1:] {
+		if n := g.Topic(topic).Published(); n != 0 {
+			t.Errorf("%s published %d messages with no subscriber", topic, n)
+		}
+	}
+}

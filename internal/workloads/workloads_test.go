@@ -1,10 +1,12 @@
 package workloads_test
 
 import (
+	"slices"
 	"testing"
 
 	"mavbench/internal/compute"
 	"mavbench/internal/core"
+	"mavbench/internal/sim"
 	_ "mavbench/internal/workloads"
 )
 
@@ -249,5 +251,51 @@ func TestCloudOffloadKnob(t *testing.T) {
 func TestUnknownWorkload(t *testing.T) {
 	if _, err := core.Run(core.Params{Workload: "juggling"}); err == nil {
 		t.Error("unknown workload should fail")
+	}
+}
+
+// TestSensorWiring pins which sensor topics each workload consumes. The
+// simulator renders a sensor sample only for a subscribed topic, so a
+// workload that drops or adds a subscription changes its host cost; this
+// test makes that change visible.
+func TestSensorWiring(t *testing.T) {
+	topics := []string{sim.TopicDepthImage, sim.TopicRGBFrame, sim.TopicGPS, sim.TopicIMU}
+	wiring := map[string][]string{
+		"scanning":           nil,
+		"aerial_photography": {sim.TopicRGBFrame},
+		"package_delivery":   {sim.TopicDepthImage, sim.TopicGPS},
+		"mapping_3d":         {sim.TopicDepthImage, sim.TopicGPS},
+		"search_and_rescue":  {sim.TopicDepthImage, sim.TopicRGBFrame, sim.TopicGPS},
+	}
+	for _, name := range core.Workloads() {
+		want, ok := wiring[name]
+		if !ok {
+			t.Errorf("workload %s has no pinned sensor wiring", name)
+			continue
+		}
+		p := fastParams(name, 3).Normalize()
+		w, err := core.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world, start, err := w.World(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sim.New(sim.DefaultConfig(p.Seed), world, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Setup(s, p); err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(3)
+		s.Teardown()
+		for _, topic := range topics {
+			wired := slices.Contains(want, topic)
+			if n := s.Graph().Topic(topic).Published(); wired != (n > 0) {
+				t.Errorf("%s: %s published %d messages, subscribed = %v", name, topic, n, wired)
+			}
+		}
 	}
 }
