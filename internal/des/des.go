@@ -14,7 +14,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +30,7 @@ type Event struct {
 
 	priority int // tie-break: lower fires first at equal time
 	seq      uint64
-	index    int
+	queued   bool
 	canceled bool
 }
 
@@ -42,36 +41,56 @@ func (e *Event) Cancel() { e.canceled = true }
 // Canceled reports whether the event was canceled before firing.
 func (e *Event) Canceled() bool { return e.canceled }
 
-type eventQueue []*Event
+// before is the queue's strict total order: time, then priority, then
+// scheduling sequence. Because it is total, every correct heap pops events in
+// the same order.
+func (e *Event) before(o *Event) bool {
+	if e.At != o.At {
+		return e.At < o.At
+	}
+	if e.priority != o.priority {
+		return e.priority < o.priority
+	}
+	return e.seq < o.seq
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+// eventHeap is a binary min-heap of events ordered by before.
+type eventHeap []*Event
+
+func (h *eventHeap) push(ev *Event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for p := (i - 1) / 2; i > 0 && ev.before(q[p]); p = (i - 1) / 2 {
+		q[i] = q[p]
+		i = p
 	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority < q[j].priority
+	q[i] = ev
+	*h = q
+}
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	head, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	head.queued = false
+	return head
 }
 
 // ErrStopped is returned by Run when the simulation was stopped explicitly
@@ -82,7 +101,7 @@ var ErrStopped = errors.New("des: simulation stopped")
 // The zero value is not usable; construct engines with NewEngine.
 type Engine struct {
 	now     time.Duration
-	queue   eventQueue
+	queue   eventHeap
 	seq     uint64
 	stopped bool
 	stopErr error
@@ -96,11 +115,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -132,74 +147,95 @@ func (e *Engine) Schedule(delay time.Duration, name string, callback func(*Engin
 // ScheduleAt registers callback to run at absolute virtual time at. Times in
 // the past are clamped to the present.
 func (e *Engine) ScheduleAt(at time.Duration, name string, callback func(*Engine)) *Event {
-	return e.scheduleAt(at, 0, name, callback)
+	return e.SchedulePriority(at, 0, name, callback)
 }
 
 // SchedulePriority is ScheduleAt with an explicit tie-break priority: among
-// events with identical timestamps, lower priorities fire first. The physics
-// stepper uses a negative priority so that the world state is always updated
-// before same-instant sensor or compute events observe it.
+// events with identical timestamps, lower priorities fire first.
 func (e *Engine) SchedulePriority(at time.Duration, priority int, name string, callback func(*Engine)) *Event {
-	return e.scheduleAt(at, priority, name, callback)
+	ev := &Event{Name: name, Callback: callback, priority: priority}
+	e.push(ev, at)
+	return ev
 }
 
-func (e *Engine) scheduleAt(at time.Duration, priority int, name string, callback func(*Engine)) *Event {
-	if callback == nil {
+// ScheduleEvent queues a caller-owned event to fire after delay, using its
+// Name and Callback. It is Schedule without the allocation: a caller that
+// owns ev may queue it again once it has fired. The engine itself never
+// re-queues an event it did not create, so an *Event returned by Schedule is
+// never reused behind its caller's back. ScheduleEvent panics if ev is still
+// queued, as a canceled event is until its time arrives.
+func (e *Engine) ScheduleEvent(ev *Event, delay time.Duration) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.push(ev, e.now+delay)
+}
+
+// push queues ev at time at (clamped to the present) with the next sequence
+// number.
+func (e *Engine) push(ev *Event, at time.Duration) {
+	if ev.Callback == nil {
 		panic("des: Schedule with nil callback")
+	}
+	if ev.queued {
+		panic("des: event " + ev.Name + " is already queued")
 	}
 	if at < e.now {
 		at = e.now
 	}
-	ev := &Event{At: at, Name: name, Callback: callback, priority: priority, seq: e.seq}
+	ev.At, ev.seq, ev.queued, ev.canceled = at, e.seq, true, false
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	e.queue.push(ev)
 }
 
 // Every schedules callback to run periodically with the given period,
 // starting one period from now, until the returned ticker is stopped or the
 // engine stops. A period <= 0 panics.
 func (e *Engine) Every(period time.Duration, name string, callback func(*Engine)) *Ticker {
+	return e.EveryPriority(period, 0, name, callback)
+}
+
+// EveryPriority is Every with an explicit tie-break priority for each firing.
+// The physics stepper uses a negative priority so that the world state is
+// always updated before same-instant sensor or compute events observe it.
+func (e *Engine) EveryPriority(period time.Duration, priority int, name string, callback func(*Engine)) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("des: Every with non-positive period %v", period))
 	}
-	t := &Ticker{engine: e, period: period, name: name, callback: callback}
-	t.scheduleNext()
+	if callback == nil {
+		panic("des: Every with nil callback")
+	}
+	t := &Ticker{period: period, callback: callback}
+	t.ev = Event{Name: name, Callback: t.fire, priority: priority}
+	e.push(&t.ev, e.now+period)
 	return t
 }
 
-// Ticker repeatedly schedules a callback at a fixed period.
+// Ticker repeatedly fires a callback at a fixed period. It owns one event,
+// which it re-queues after each firing, so a running ticker does not
+// allocate.
 type Ticker struct {
-	engine   *Engine
 	period   time.Duration
-	name     string
 	callback func(*Engine)
-	next     *Event
+	ev       Event
 	stopped  bool
 }
 
-// Stop prevents any further firings of the ticker.
+// Stop prevents any further firings of the ticker. A ticker may stop itself
+// from inside its callback.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
+	t.ev.Cancel()
 }
 
 // Period returns the ticker's period.
 func (t *Ticker) Period() time.Duration { return t.period }
 
-func (t *Ticker) scheduleNext() {
-	if t.stopped {
-		return
+func (t *Ticker) fire(e *Engine) {
+	t.callback(e)
+	if !t.stopped {
+		e.push(&t.ev, e.now+t.period)
 	}
-	t.next = t.engine.Schedule(t.period, t.name, func(eng *Engine) {
-		if t.stopped {
-			return
-		}
-		t.callback(eng)
-		t.scheduleNext()
-	})
 }
 
 // Stop halts the run loop after the current event completes. The given error
@@ -213,32 +249,45 @@ func (e *Engine) Stop(err error) {
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Step executes the single next pending event, advancing the clock to its
-// timestamp. It returns false when no runnable event remains or the engine
-// has been stopped.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		if e.stopped {
-			return false
-		}
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		if e.Horizon > 0 && ev.At > e.Horizon {
-			// Push it back so state remains inspectable, then refuse to run.
-			heap.Push(&e.queue, ev)
-			return false
-		}
-		e.now = ev.At
-		if e.tracer != nil {
-			e.tracer(*ev)
-		}
-		e.processed++
-		ev.Callback(e)
-		return true
+// stopResult is what Run and RunUntil return once the engine has stopped.
+func (e *Engine) stopResult() error {
+	if e.stopErr != nil {
+		return e.stopErr
 	}
-	return false
+	return ErrStopped
+}
+
+// head discards canceled events at the front of the queue and returns the
+// next runnable event without removing it, or nil when none is queued.
+func (e *Engine) head() *Event {
+	for len(e.queue) > 0 {
+		if ev := e.queue[0]; !ev.canceled {
+			return ev
+		}
+		e.queue.pop()
+	}
+	return nil
+}
+
+// Step executes the single next pending event, advancing the clock to its
+// timestamp. It returns false when no runnable event remains, the next one
+// lies beyond the horizon (it stays queued), or the engine has been stopped.
+func (e *Engine) Step() bool {
+	if e.stopped {
+		return false
+	}
+	ev := e.head()
+	if ev == nil || (e.Horizon > 0 && ev.At > e.Horizon) {
+		return false
+	}
+	e.queue.pop()
+	e.now = ev.At
+	if e.tracer != nil {
+		e.tracer(*ev)
+	}
+	e.processed++
+	ev.Callback(e)
+	return true
 }
 
 // Run executes events until the queue is exhausted, the horizon is exceeded,
@@ -246,45 +295,31 @@ func (e *Engine) Step() bool {
 // It returns nil on normal completion, ErrStopped (or the error passed to
 // Stop) when stopped, and an error when the event budget is exhausted.
 func (e *Engine) Run(maxEvents uint64) error {
-	var n uint64
-	for {
+	for n := uint64(0); ; n++ {
 		if e.stopped {
-			if e.stopErr != nil {
-				return e.stopErr
-			}
-			return ErrStopped
+			return e.stopResult()
 		}
 		if maxEvents > 0 && n >= maxEvents {
 			return fmt.Errorf("des: event budget of %d exhausted at t=%v", maxEvents, e.now)
 		}
-		if !e.Step() {
-			if e.stopped {
-				if e.stopErr != nil {
-					return e.stopErr
-				}
-				return ErrStopped
-			}
+		if !e.Step() && !e.stopped {
 			return nil
 		}
-		n++
 	}
 }
 
 // RunUntil runs the engine until the virtual clock reaches at least t, the
-// queue empties, or the engine stops. The horizon, if set, still applies.
+// queue empties, or the engine stops. It never runs an event later than t.
+// The horizon, if set, still applies.
 func (e *Engine) RunUntil(t time.Duration) error {
 	for e.now < t {
 		if e.stopped {
-			if e.stopErr != nil {
-				return e.stopErr
-			}
-			return ErrStopped
+			return e.stopResult()
 		}
-		if len(e.queue) == 0 {
+		next := e.head()
+		if next == nil {
 			return nil
 		}
-		// Peek: if the next event is beyond t, we're done.
-		next := e.queue[0]
 		if next.At > t {
 			e.now = t
 			return nil

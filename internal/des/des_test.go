@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -304,5 +305,252 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRunUntilSkipsCanceledHeadWithoutOvershoot(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(time.Second, "canceled", func(*Engine) { t.Error("canceled event ran") }).Cancel()
+	late := false
+	e.Schedule(5*time.Second, "late", func(*Engine) { late = true })
+	if err := e.RunUntil(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if late {
+		t.Error("RunUntil(2s) ran the event at 5s")
+	}
+	if e.Now() != 2*time.Second {
+		t.Errorf("Now = %v, want 2s", e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d, want 1 (the 5s event)", e.Pending())
+	}
+}
+
+func TestScheduleEventReusesCallerOwnedEvent(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	var ev Event
+	ev.Name = "reused"
+	ev.Callback = func(eng *Engine) {
+		if fired++; fired < 3 {
+			eng.ScheduleEvent(&ev, time.Second)
+		}
+	}
+	e.ScheduleEvent(&ev, time.Second)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 3 || e.Now() != 3*time.Second {
+		t.Errorf("fired %d times, Now = %v; want 3 times, 3s", fired, e.Now())
+	}
+
+	e.ScheduleEvent(&ev, time.Second)
+	defer func() {
+		if recover() == nil {
+			t.Error("queuing an already queued event should panic")
+		}
+	}()
+	e.ScheduleEvent(&ev, time.Second)
+}
+
+// scheduler is the part of an event engine the randomized order test drives:
+// the real Engine and refModel both implement it.
+type scheduler interface {
+	now() time.Duration
+	at(t time.Duration, prio int, fn func()) (cancel func())
+	every(period time.Duration, prio int, fn func(stop func())) (stop func())
+	run(horizon time.Duration)
+}
+
+type engineScheduler struct{ e *Engine }
+
+func (s engineScheduler) now() time.Duration { return s.e.Now() }
+
+func (s engineScheduler) at(t time.Duration, prio int, fn func()) func() {
+	return s.e.SchedulePriority(t, prio, "ev", func(*Engine) { fn() }).Cancel
+}
+
+func (s engineScheduler) every(period time.Duration, prio int, fn func(stop func())) func() {
+	var tk *Ticker
+	tk = s.e.EveryPriority(period, prio, "tick", func(*Engine) { fn(tk.Stop) })
+	return tk.Stop
+}
+
+func (s engineScheduler) run(horizon time.Duration) {
+	s.e.Horizon = horizon
+	if err := s.e.Run(0); err != nil {
+		panic(err)
+	}
+}
+
+// refModel is the reference event order: at every step it sorts the live
+// events on (At, priority, seq) and runs the first. Sequence numbers are taken
+// where the engine takes them: at scheduling, and for a ticker after each
+// firing.
+type refModel struct {
+	t   time.Duration
+	seq uint64
+	evs []*refEvent
+}
+
+type refEvent struct {
+	at   time.Duration
+	prio int
+	seq  uint64
+	fn   func()
+	dead bool
+}
+
+func (m *refModel) now() time.Duration { return m.t }
+
+func (m *refModel) at(t time.Duration, prio int, fn func()) func() {
+	if t < m.t {
+		t = m.t
+	}
+	ev := &refEvent{at: t, prio: prio, seq: m.seq, fn: fn}
+	m.seq++
+	m.evs = append(m.evs, ev)
+	return func() { ev.dead = true }
+}
+
+func (m *refModel) every(period time.Duration, prio int, fn func(stop func())) func() {
+	stopped := false
+	var cancel func()
+	stop := func() {
+		stopped = true
+		cancel()
+	}
+	var tick func()
+	tick = func() {
+		fn(stop)
+		if !stopped {
+			cancel = m.at(m.t+period, prio, tick)
+		}
+	}
+	cancel = m.at(m.t+period, prio, tick)
+	return stop
+}
+
+func (m *refModel) run(horizon time.Duration) {
+	for {
+		live := m.evs[:0]
+		for _, ev := range m.evs {
+			if !ev.dead {
+				live = append(live, ev)
+			}
+		}
+		m.evs = live
+		if len(live) == 0 {
+			return
+		}
+		sort.Slice(live, func(i, j int) bool {
+			a, b := live[i], live[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.prio != b.prio {
+				return a.prio < b.prio
+			}
+			return a.seq < b.seq
+		})
+		head := live[0]
+		if horizon > 0 && head.at > horizon {
+			return
+		}
+		head.dead = true
+		m.t = head.at
+		head.fn()
+	}
+}
+
+// orderScript runs one randomized workload on s and returns the ids of the
+// events in firing order: one-shot events over a few distinct times and
+// priorities, so ties are common; tickers that stop themselves mid-fire;
+// firings that schedule children (possibly at the same instant) or cancel a
+// random event or ticker, possibly one that already fired. The run first
+// stops at a horizon that leaves events queued past it, then continues
+// without one.
+func orderScript(seed int64, s scheduler) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var fired []int
+	var cancels []func()
+	ids := 0
+	react := func() {
+		switch rng.Intn(5) {
+		case 0:
+			cancels[rng.Intn(len(cancels))]()
+		case 1:
+			id := ids
+			ids++
+			cancels = append(cancels, s.at(s.now()+time.Duration(rng.Intn(3))*time.Millisecond, rng.Intn(5)-2, func() {
+				fired = append(fired, id)
+			}))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		id := ids
+		ids++
+		cancels = append(cancels, s.at(time.Duration(rng.Intn(40))*time.Millisecond, rng.Intn(5)-2, func() {
+			fired = append(fired, id)
+			react()
+		}))
+	}
+	for i := 0; i < 4; i++ {
+		id := ids
+		ids++
+		left := 1 + rng.Intn(30)
+		cancels = append(cancels, s.every(time.Duration(1+rng.Intn(4))*time.Millisecond, rng.Intn(5)-2-10*(i%2), func(stop func()) {
+			fired = append(fired, id)
+			if left--; left == 0 {
+				stop()
+			}
+			react()
+		}))
+	}
+	for i := 0; i < 30; i++ {
+		cancels[rng.Intn(len(cancels))]()
+	}
+	s.run(20 * time.Millisecond)
+	fired = append(fired, -1) // marks where the horizon stopped the run
+	s.run(0)
+	return fired
+}
+
+// The typed heap must pop exactly the reference order: (At, priority, seq)
+// is a strict total order, so any correct queue agrees on it.
+func TestEventOrderMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		e := NewEngine()
+		got := orderScript(seed, engineScheduler{e})
+		ref := &refModel{}
+		want := orderScript(seed, ref)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d firings, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is event %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+		if got[len(got)-1] == -1 {
+			t.Errorf("seed %d: no event was left queued past the horizon", seed)
+		}
+		if e.Now() != ref.now() {
+			t.Errorf("seed %d: Now = %v, reference %v", seed, e.Now(), ref.now())
+		}
+	}
+}
+
+func TestTickerFiringDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Every(time.Millisecond, "tick", func(*Engine) { n++ })
+	e.EveryPriority(time.Millisecond, -10, "physics", func(*Engine) { n++ })
+	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
+		t.Errorf("a ticker firing allocates %v times, want 0", allocs)
+	}
+	if n != 101 { // AllocsPerRun makes one warm-up call before its 100 runs
+		t.Errorf("tickers fired %d times, want 101", n)
 	}
 }

@@ -20,6 +20,10 @@ type Executor struct {
 
 	busy  int
 	queue []*job
+	free  []*job // finished jobs, reused by Submit
+
+	// doneNames caches each node's job-done event name.
+	doneNames map[string]string
 
 	// accounting
 	busyCoreSeconds float64
@@ -35,11 +39,29 @@ type Executor struct {
 	onKernel func(kernel, node string, cost time.Duration, start, end time.Duration)
 }
 
+// A job is pooled: it owns its job-done event, whose callback is bound once
+// when the job is first allocated, and returns to the executor's free list
+// when that event fires.
 type job struct {
+	exec        *Executor
 	node        string
 	work        func(now time.Duration) CallbackResult
 	onDone      func()
 	submittedAt time.Duration
+	done        des.Event
+}
+
+// finish runs when the job's cost has elapsed: it frees the core and the
+// job, then runs the job's continuation and starts queued work.
+func (j *job) finish(*des.Engine) {
+	e, onDone := j.exec, j.onDone
+	j.work, j.onDone = nil, nil
+	e.free = append(e.free, j)
+	e.busy--
+	if onDone != nil {
+		onDone()
+	}
+	e.drain()
 }
 
 // NewExecutor builds an executor with the given core count scheduled on
@@ -54,6 +76,7 @@ func NewExecutor(engine *des.Engine, cores int) *Executor {
 		kernelTotals: map[string]time.Duration{},
 		kernelCounts: map[string]uint64{},
 		nodeTotals:   map[string]time.Duration{},
+		doneNames:    map[string]string{},
 	}
 }
 
@@ -150,7 +173,15 @@ func (e *Executor) Submit(node string, work func(now time.Duration) CallbackResu
 	if work == nil {
 		panic("ros: Submit with nil work")
 	}
-	j := &job{node: node, work: work, onDone: onDone, submittedAt: e.engine.Now()}
+	var j *job
+	if n := len(e.free); n > 0 {
+		j = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		j = &job{exec: e}
+		j.done.Callback = j.finish
+	}
+	j.node, j.work, j.onDone, j.submittedAt = node, work, onDone, e.engine.Now()
 	if e.busy >= e.cores {
 		e.queue = append(e.queue, j)
 		if len(e.queue) > e.maxQueueLen {
@@ -182,19 +213,21 @@ func (e *Executor) start(j *job) {
 		e.onKernel(res.Kernel, j.node, cost, now, now+cost)
 	}
 
-	e.engine.Schedule(cost, "ros/job-done:"+j.node, func(*des.Engine) {
-		e.busy--
-		if j.onDone != nil {
-			j.onDone()
-		}
-		e.drain()
-	})
+	name, ok := e.doneNames[j.node]
+	if !ok {
+		name = "ros/job-done:" + j.node
+		e.doneNames[j.node] = name
+	}
+	j.done.Name = name
+	e.engine.ScheduleEvent(&j.done, cost)
 }
 
 func (e *Executor) drain() {
 	for e.busy < e.cores && len(e.queue) > 0 {
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
 		e.start(next)
 	}
 }

@@ -384,3 +384,35 @@ func TestPipelineLatencyAcrossStages(t *testing.T) {
 		t.Errorf("end-to-end latency = %v, want 300ms", controlDone)
 	}
 }
+
+// A steady-state Submit → job-done cycle reuses a pooled job and its event,
+// so it allocates nothing beyond the work closure the caller builds.
+func TestExecutorSubmitCycleAllocatesOnlyTheWork(t *testing.T) {
+	eng := des.NewEngine()
+	ex := NewExecutor(eng, 1)
+	work := func(time.Duration) CallbackResult { return CallbackResult{Cost: time.Millisecond, Kernel: "k"} }
+	done := 0
+	onDone := func() { done++ }
+	// Two jobs on one core: the second waits in the queue until the first's
+	// job-done event starts it.
+	cycle := func() {
+		ex.Submit("node", work, onDone)
+		ex.Submit("node", work, onDone)
+		eng.Step()
+		eng.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a Submit/job-done cycle with a reused work func allocates %v times, want 0", allocs)
+	}
+	cost := time.Millisecond
+	fresh := func() {
+		ex.Submit("node", func(time.Duration) CallbackResult { return CallbackResult{Cost: cost} }, nil)
+		eng.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, fresh); allocs > 1 {
+		t.Errorf("a Submit/job-done cycle allocates %v times, want at most 1 (the work closure)", allocs)
+	}
+	if done != 202 || ex.JobsRun() != 303 || ex.QueueLength() != 0 {
+		t.Errorf("onDone ran %d times, %d jobs run, queue %d; want 202, 303, 0", done, ex.JobsRun(), ex.QueueLength())
+	}
+}

@@ -117,6 +117,7 @@ type Simulator struct {
 	cfg Config
 
 	engine   *des.Engine
+	physics  *des.Ticker
 	graph    *ros.Graph
 	world    *env.World
 	vehicle  *physics.Quadrotor
@@ -349,6 +350,7 @@ func (s *Simulator) CompleteMission(success bool, reason string) {
 		return
 	}
 	s.missionDone = true
+	s.physics.Stop()
 	s.recorder.EndMission(s.Now(), success, reason)
 	s.engine.Stop(nil)
 }
@@ -358,7 +360,7 @@ func (s *Simulator) scheduleLoops() {
 	step := des.Seconds(s.cfg.PhysicsStepS)
 	// Physics (and energy) at high priority so same-instant sensor events see
 	// the updated world.
-	s.engine.SchedulePriority(step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
+	s.physics = s.engine.EveryPriority(step, -10, "sim/physics", func(*des.Engine) { s.physicsStep(step) })
 
 	s.engine.Every(des.Seconds(1/s.cfg.DepthCameraRateHz), "sim/depth", func(*des.Engine) { s.publishDepth() })
 	s.engine.Every(des.Seconds(1/s.cfg.RGBCameraRateHz), "sim/rgb", func(*des.Engine) { s.publishRGB() })
@@ -366,8 +368,9 @@ func (s *Simulator) scheduleLoops() {
 	s.engine.Every(des.Seconds(1/s.cfg.IMURateHz), "sim/imu", func(*des.Engine) { s.publishIMU() })
 }
 
-func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
+func (s *Simulator) physicsStep(step time.Duration) {
 	if s.missionDone {
+		s.physics.Stop()
 		return
 	}
 	dt := step.Seconds()
@@ -408,9 +411,6 @@ func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
 			return
 		}
 	}
-
-	// Schedule the next step.
-	s.engine.SchedulePriority(e.Now()+step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
 }
 
 // sensing returns topic and whether a sample for it should be rendered: the

@@ -263,3 +263,23 @@ func TestSensorsRenderOnlyWhenSubscribed(t *testing.T) {
 		}
 	}
 }
+
+// The physics stepper is a priority ticker that re-queues its own event, and
+// unsubscribed sensor loops render nothing, so an idle simulator's event
+// loop runs without allocating.
+func TestIdleEventLoopDoesNotAllocate(t *testing.T) {
+	s := emptyWorldSim(t, DefaultConfig(5))
+	s.RunFor(1) // warm up: recorder series and lazily built world state
+	physics := 0
+	s.Engine().SetTracer(func(ev des.Event) {
+		if ev.Name == "sim/physics" {
+			physics++
+		}
+	})
+	if allocs := testing.AllocsPerRun(200, func() { s.Engine().Step() }); allocs != 0 {
+		t.Errorf("an idle simulator event allocates %v times, want 0", allocs)
+	}
+	if physics == 0 {
+		t.Error("no physics step ran")
+	}
+}
