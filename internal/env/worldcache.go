@@ -2,10 +2,7 @@ package env
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"mavbench/internal/geom"
@@ -16,17 +13,12 @@ import (
 // compute-axis sweep — many operating points over the same (scenario,
 // difficulty, seed) — builds each world once and serves every subsequent run
 // a deep Clone, so the cached original is never mutated by a simulation.
-//
-// With a spill directory configured, built worlds are also written to disk as
-// content-addressed snapshots (<world-hash>.json, atomic temp-file + rename),
-// so worlds survive process restarts and can be shared by every process of a
-// fleet worker box. The in-memory LRU is the first tier; the spill directory
-// is consulted on a memory miss before falling back to building.
+// Worlds are a pure function of their spec and rebuild in tens of
+// microseconds, so the cache lives in memory only.
 //
 // All methods are safe for concurrent use.
 type WorldCache struct {
 	maxBytes int64
-	dir      string
 
 	mu      sync.Mutex
 	byKey   map[string]*list.Element
@@ -36,8 +28,6 @@ type WorldCache struct {
 	hits    int64
 	misses  int64
 	evicts  int64
-	spillH  int64 // misses served from the spill tier
-	spillW  int64 // snapshots written to the spill tier
 }
 
 // worldEntry is one cached world and its start position.
@@ -48,7 +38,7 @@ type worldEntry struct {
 	size  int64
 }
 
-// pendingBuild is one world being loaded or built. Concurrent lookups of the
+// pendingBuild is one world being built. Concurrent lookups of the
 // same key wait on done instead of building the world a second time.
 type pendingBuild struct {
 	done  chan struct{}
@@ -59,13 +49,11 @@ type pendingBuild struct {
 
 // WorldCacheStats is a point-in-time snapshot of cache effectiveness.
 type WorldCacheStats struct {
-	Hits        int64 // lookups served from memory or spill
-	Misses      int64 // lookups that had to build the world
-	Evictions   int64 // entries dropped by the LRU size bound
-	SpillHits   int64 // of Hits, how many came from the disk spill tier
-	SpillWrites int64 // snapshots written to the spill directory
-	Entries     int   // worlds currently held in memory
-	SizeBytes   int64 // estimated in-memory footprint
+	Hits      int64 // lookups served without building
+	Misses    int64 // lookups that had to build the world
+	Evictions int64 // entries dropped by the LRU size bound
+	Entries   int   // worlds currently held in memory
+	SizeBytes int64 // estimated in-memory footprint
 }
 
 // WorldCacheOption configures a WorldCache.
@@ -78,20 +66,11 @@ func WithCacheMaxBytes(n int64) WorldCacheOption {
 	return func(c *WorldCache) { c.maxBytes = n }
 }
 
-// WithCacheDir enables the content-addressed disk spill tier rooted at dir
-// (created if needed).
-func WithCacheDir(dir string) WorldCacheOption {
-	return func(c *WorldCache) { c.dir = dir }
-}
-
 // NewWorldCache constructs an empty cache.
 func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
 	c := &WorldCache{byKey: map[string]*list.Element{}, pending: map[string]*pendingBuild{}, lru: list.New()}
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.dir != "" {
-		_ = os.MkdirAll(c.dir, 0o755)
 	}
 	return c
 }
@@ -99,7 +78,7 @@ func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
 // GetOrBuild returns a private deep clone of the world for key, building (and
 // caching) it with build on a miss. Every caller gets its own clone —
 // simulations mutate worlds freely without poisoning the cache. Concurrent
-// misses on one key share a single load or build. Build errors are returned
+// misses on one key share a single build. Build errors are returned
 // verbatim (to every caller waiting on that build) and cache nothing; a build
 // that panics releases its waiters with an error and re-panics.
 func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, error)) (*World, geom.Vec3, error) {
@@ -140,10 +119,11 @@ func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, err
 	return p.world.Clone(), p.start, nil
 }
 
-// fill loads or builds the world for key into p, then drops p from the
-// pending set and wakes its waiters. The cleanup is deferred so a build that
-// panics (the run engine recovers it further up) hands its waiters an error
-// instead of leaving the key wedged.
+// fill builds the world for key into p and caches the pristine original,
+// then drops p from the pending set and wakes its waiters. Build errors cache
+// nothing. The cleanup is deferred so a build that panics (the run engine
+// recovers it further up) hands its waiters an error instead of leaving the
+// key wedged.
 func (c *WorldCache) fill(key string, p *pendingBuild, build func() (*World, geom.Vec3, error)) {
 	p.err = fmt.Errorf("env: world build for %s panicked", key) // replaced on return
 	defer func() {
@@ -152,30 +132,20 @@ func (c *WorldCache) fill(key string, p *pendingBuild, build func() (*World, geo
 		c.mu.Unlock()
 		close(p.done)
 	}()
-	p.world, p.start, p.err = c.loadOrBuild(key, build)
-}
-
-// loadOrBuild fills a miss from the spill tier or by building, and caches
-// and returns the pristine world. Build errors cache nothing.
-func (c *WorldCache) loadOrBuild(key string, build func() (*World, geom.Vec3, error)) (*World, geom.Vec3, error) {
-	if w, start, ok := c.loadSpill(key); ok {
-		c.insert(key, w, start, true)
-		return w, start, nil
-	}
 	w, start, err := build()
 	if err != nil {
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		return nil, geom.Vec3{}, err
+		p.err = err
+		return
 	}
-	c.insert(key, w, start, false)
-	c.writeSpill(key, w, start)
-	return w, start, nil
+	c.insert(key, w, start)
+	p.world, p.start, p.err = w, start, nil
 }
 
-// Contains reports whether key is resident in the in-memory tier (no recency
-// update; for tests).
+// Contains reports whether key is resident in the cache (no recency update;
+// for tests).
 func (c *WorldCache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,23 +159,17 @@ func (c *WorldCache) Stats() WorldCacheStats {
 	defer c.mu.Unlock()
 	return WorldCacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evicts,
-		SpillHits: c.spillH, SpillWrites: c.spillW,
 		Entries: c.lru.Len(), SizeBytes: c.total,
 	}
 }
 
-// insert stores a pristine world under key and enforces the size bound.
-// fromSpill distinguishes a spill-tier hit from a fresh build in the stats.
-func (c *WorldCache) insert(key string, w *World, start geom.Vec3, fromSpill bool) {
+// insert stores a freshly built world under key, counts the miss and
+// enforces the size bound.
+func (c *WorldCache) insert(key string, w *World, start geom.Vec3) {
 	size := worldFootprint(w)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fromSpill {
-		c.hits++
-		c.spillH++
-	} else {
-		c.misses++
-	}
+	c.misses++
 	c.byKey[key] = c.lru.PushFront(&worldEntry{key: key, world: w, start: start, size: size})
 	c.total += size
 	if c.maxBytes <= 0 {
@@ -226,84 +190,4 @@ func (c *WorldCache) insert(key string, w *World, start geom.Vec3, fromSpill boo
 func worldFootprint(w *World) int64 {
 	const worldBase, perObstacle = 512, 176
 	return worldBase + perObstacle*int64(len(w.obstacles))
-}
-
-// spillEntry is the on-disk spill record: the world snapshot plus the start
-// position the workload returned alongside it.
-type spillEntry struct {
-	Start geom.Vec3 `json:"start"`
-	World []byte    `json:"world"` // EncodeSnapshot output (base64 via JSON)
-}
-
-// validSpillKey mirrors the result store's hash check: lowercase hex only, so
-// a hostile key can never escape the spill directory.
-func validSpillKey(key string) bool {
-	if len(key) == 0 || len(key) > 128 {
-		return false
-	}
-	for _, ch := range key {
-		if (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *WorldCache) spillPath(key string) string { return filepath.Join(c.dir, key+".json") }
-
-// loadSpill reads a spilled world; any error is just a miss.
-func (c *WorldCache) loadSpill(key string) (*World, geom.Vec3, bool) {
-	if c.dir == "" || !validSpillKey(key) {
-		return nil, geom.Vec3{}, false
-	}
-	buf, err := os.ReadFile(c.spillPath(key))
-	if err != nil {
-		return nil, geom.Vec3{}, false
-	}
-	var entry spillEntry
-	if err := json.Unmarshal(buf, &entry); err != nil {
-		// Corrupt spill (torn write by a crashed process): drop it so it
-		// cannot shadow a future write.
-		_ = os.Remove(c.spillPath(key))
-		return nil, geom.Vec3{}, false
-	}
-	w, err := DecodeSnapshot(entry.World)
-	if err != nil {
-		_ = os.Remove(c.spillPath(key))
-		return nil, geom.Vec3{}, false
-	}
-	return w, entry.Start, true
-}
-
-// writeSpill persists a world snapshot atomically (temp file + rename);
-// failures degrade to rebuild-on-restart, never to an error.
-func (c *WorldCache) writeSpill(key string, w *World, start geom.Vec3) {
-	if c.dir == "" || !validSpillKey(key) {
-		return
-	}
-	snap, err := w.EncodeSnapshot()
-	if err != nil {
-		return
-	}
-	buf, err := json.Marshal(spillEntry{Start: start, World: snap})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, ".world-*.tmp")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), c.spillPath(key)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return
-	}
-	c.mu.Lock()
-	c.spillW++
-	c.mu.Unlock()
 }

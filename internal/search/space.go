@@ -1,7 +1,7 @@
-// Package search is the adversarial scenario-search engine: procedural
-// synthesis of difficulty-knob vectors under constraints, a calibration pass
-// that keeps synthesized "difficulty" comparable across environment families,
-// and a deterministic cross-entropy optimizer that hunts the knob space for
+// Package search is the adversarial scenario-search engine: a constrained
+// space of difficulty-knob vectors, a calibration pass that keeps a
+// candidate's "difficulty" comparable across environment families, and a
+// deterministic cross-entropy optimizer that hunts the knob space for
 // the settings that maximize an objective (collision rate, quality-of-flight
 // drop) at a chosen compute operating point. The axis it searches extends
 // the environment sensitivity the paper studies with hand-picked maps

@@ -96,6 +96,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(text, "mavbench_store_misses_total 1") {
 		t.Errorf("store misses series wrong:\n%s", grepMetric(text, "mavbench_store_misses_total"))
 	}
+
+	// A search gets its own endpoint label, not "other". It runs after the
+	// scrape above so its missions leave the store counters there exact.
+	status, buf := postSearch(t, ts, `{"workload": "package_delivery", "cores": 2, "freq_ghz": 0.8, "seed": 7,
+	          "objective": "qof", "generations": 1, "population": 2, "repeats": 1}`)
+	if status != http.StatusOK {
+		t.Fatalf("POST /v1/search = %d: %s", status, buf)
+	}
+	text = scrape(t, ts)
+	if want := `mavbench_http_requests_total{endpoint="search",code="200"} 1`; !strings.Contains(text, want) {
+		t.Errorf("metrics missing %q:\n%s", want, grepMetric(text, "mavbench_http_requests_total"))
+	}
 }
 
 // TestMetricsQueueDepthTracksBacklog watches the per-tenant gauges move: a
